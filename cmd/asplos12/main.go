@@ -105,6 +105,7 @@ func main() {
 		weightAblation()
 		mmapCacheAblation()
 		pteLockAblation()
+		statsLineAblation(m, p, cycles)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)

@@ -122,3 +122,27 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic simulation: %+v vs %+v", a, b)
 	}
 }
+
+// TestStatsLineAblation prices one shared statistics line per fault:
+// at 10 cores on one socket it costs a few percent, at 80 cores across
+// eight sockets the line's transfers serialize and more than double the
+// fault, while per-CPU shards stay at the plain pure-RCU cost.
+func TestStatsLineAblation(t *testing.T) {
+	m := &coherence.E78870
+	p := DefaultParams
+	for _, n := range []int{10, 80} {
+		plain := RunMicro(m, vm.PureRCU, p, n, 0, calibCycles).CyclesPerFault
+		shared := RunMicroStatsLine(m, p, n, true, calibCycles).CyclesPerFault
+		sharded := RunMicroStatsLine(m, p, n, false, calibCycles).CyclesPerFault
+		t.Logf("%2d cores: plain %.0f, shared line %.0f, sharded %.0f cycles/fault", n, plain, shared, sharded)
+		if sharded > plain*1.02 {
+			t.Errorf("%d cores: sharded counters cost %.0f cycles/fault, plain fault %.0f", n, sharded, plain)
+		}
+		if n == 10 && shared > plain*1.05 {
+			t.Errorf("10 cores: shared stats line %.0f cycles/fault, plain fault %.0f", shared, plain)
+		}
+		if n == 80 && shared < 2*sharded {
+			t.Errorf("80 cores: shared stats line %.0f cycles/fault, only %.1fx the sharded %.0f", shared, shared/sharded, sharded)
+		}
+	}
+}

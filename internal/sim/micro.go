@@ -27,6 +27,33 @@ type MicroResult struct {
 // possible").
 func RunMicro(m *coherence.Machine, d vm.Design, p Params,
 	faultCores int, mmapFraction float64, cycles uint64) MicroResult {
+	return runMicro(m, d, p, faultCores, mmapFraction, cycles, nil)
+}
+
+// RunMicroStatsLine is the pure-RCU fault microbenchmark with one
+// statistics-counter update per fault: with shared set, every core
+// updates the same cache line (one counter per address space);
+// otherwise each core updates a line of its own (per-CPU counter
+// shards). The PureRCU fault writes no other shared line, so the gap
+// between the two prices the shared counter alone.
+func RunMicroStatsLine(m *coherence.Machine, p Params, faultCores int, shared bool, cycles uint64) MicroResult {
+	lines := make([]*coherence.Line, faultCores)
+	for i := range lines {
+		if i == 0 || !shared {
+			lines[i] = coherence.NewLine()
+		} else {
+			lines[i] = lines[0]
+		}
+	}
+	return runMicro(m, vm.PureRCU, p, faultCores, 0, cycles, func(c *Ctx, core int) {
+		c.Acquire(lines[core])
+	})
+}
+
+// runMicro is RunMicro with an optional hook each fault core runs
+// after every fault.
+func runMicro(m *coherence.Machine, d vm.Design, p Params,
+	faultCores int, mmapFraction float64, cycles uint64, afterFault func(c *Ctx, core int)) MicroResult {
 	s := New(m, false /* packed */)
 	env := NewEnv(s, d, p, faultCores)
 
@@ -36,6 +63,9 @@ func RunMicro(m *coherence.Machine, d vm.Design, p Params,
 		s.Spawn(i, "fault", func(c *Ctx) {
 			for {
 				env.Fault(c)
+				if afterFault != nil {
+					afterFault(c, i)
+				}
 				faults[i]++
 			}
 		})

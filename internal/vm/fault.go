@@ -32,33 +32,53 @@ import (
 //	FaultLock — fault lock read-locked for the whole fault (§5.1).
 //	Hybrid    — no semaphore; RCU + treeSem around the tree lookup (§5.2).
 //	PureRCU   — no semaphore and no tree lock: BONSAI lookup (§5.3).
+//
+// Fault timing is sampled: the clock runs for 1 in FaultSampleEvery
+// faults, plus every fault that escalates to the slow path or the
+// reclaim ladder, and for every fault while the tracer is armed. The
+// fault count is exact either way.
 func (c *CPU) Fault(addr uint64, write bool) error {
 	as := c.as
 	if addr >= MaxAddress {
 		return ErrSegv
 	}
 	page := pageDown(addr)
-	as.stats.faults.Add(1)
+	c.ctr.faultHist.Tick()
 	c.pathFlags = 0
-	if trace.Armed() {
+	c.seq++
+	sampled := faultSampled(c.seq)
+	armed := trace.Armed()
+	if armed {
 		var w uint64
 		if write {
 			w = 1
 		}
 		trace.Emit(c.id, trace.EvFaultEnter, page, w, uint64(as.cfg.Design))
 	}
-	start := time.Now()
+	c.start = time.Time{}
+	if armed || sampled {
+		c.start = time.Now()
+	}
 	err := as.retryShortage(func() error {
 		err := c.fault(page, write)
 		if err != nil && (errors.Is(err, ErrFrameShortage) || errors.Is(err, ErrTenantShortage)) {
-			c.pathFlags |= trace.FaultShortageRetry
+			c.escalate(trace.FaultShortageRetry)
 		}
 		return err
 	})
-	elapsed := time.Since(start)
-	as.stats.faultHist.Record(elapsed)
+	if c.start.IsZero() {
+		return err // an unsampled fast fault reads no clock
+	}
+	elapsed := time.Since(c.start)
+	flags := c.pathFlags
+	switch {
+	case flags&(trace.FaultSlow|trace.FaultShortageRetry) != 0:
+		// Every escalated fault is timed, so it stands for itself.
+		c.ctr.faultHist.RecordWeighted(elapsed, 1)
+	case sampled:
+		c.ctr.faultHist.RecordWeighted(elapsed, FaultSampleEvery)
+	}
 	if trace.Armed() {
-		flags := c.pathFlags
 		if flags&trace.FaultSlow == 0 {
 			flags |= trace.FaultFast
 		}
@@ -68,6 +88,33 @@ func (c *CPU) Fault(addr uint64, write bool) error {
 		trace.Emit(c.id, trace.EvFaultExit, page, flags, uint64(elapsed))
 	}
 	return err
+}
+
+// FaultSampleEvery is the fault-timing sample interval: one fast-path
+// fault in FaultSampleEvery is timed and recorded with this weight. A
+// power of two, so the sample test is a mask.
+const FaultSampleEvery = 64
+
+// faultSampled reports whether fault number seq of a CPU context is in
+// the timed sample. The sequence is hashed (the splitmix64 finalizer)
+// rather than taken modulo FaultSampleEvery: workloads fault in rounds
+// of fixed size, and a plain modulus would time the same position of
+// every round.
+func faultSampled(seq uint64) bool {
+	z := seq * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return (z^z>>31)&(FaultSampleEvery-1) == 0
+}
+
+// escalate marks the current fault as leaving the fast path and starts
+// its clock if the fault was not already timed: the slow faults the
+// tail is made of are always timed, from the escalation on.
+func (c *CPU) escalate(flags uint64) {
+	c.pathFlags |= flags
+	if c.start.IsZero() {
+		c.start = time.Now()
+	}
 }
 
 // oomRetries bounds consecutive no-progress direct-reclaim attempts
@@ -223,7 +270,6 @@ type retryReason int
 const (
 	retryMiss     retryReason = iota // no VMA found (miss, split race, or stack growth)
 	retryFillRace                    // §5.2 page-table fill race detected
-	retryFile                        // file-backed hard case (§6; gone since the page cache — see faultRCU)
 	retryCow                         // copy-on-write hard case (§6)
 )
 
@@ -290,11 +336,12 @@ func (c *CPU) faultRCU(page uint64, write bool) error {
 // page's range instead.
 func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 	as := c.as
-	as.stats.retry(reason)
-	c.pathFlags |= trace.FaultSlow
+	c.ctr.retry(reason)
+	flags := trace.FaultSlow
 	if reason == retryCow {
-		c.pathFlags |= trace.FaultCOW
+		flags |= trace.FaultCOW
 	}
+	c.escalate(flags)
 	if as.rl != nil {
 		return c.faultSlowRanged(page, write)
 	}
@@ -527,16 +574,16 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 	case pagetable.FillNeedsUpgrade:
 		return errRetryCow // COW hard case: service with the lock held
 	case pagetable.FillInstalled:
-		as.stats.pagesMapped.Add(1)
+		c.ctr.pagesMapped.Add(1)
 	case pagetable.FillUpgraded:
 		// Only non-shared upgrades count toward CowBreaks (the shared
 		// dirty transition was handled under the PTE lock by onUpgrade).
 		if !sharedFile {
-			as.stats.cowBreaks.Add(1)
+			c.ctr.cowBreaks.Add(1)
 			c.pathFlags |= trace.FaultCOW
 		}
 	default:
-		as.stats.faultsAlreadyMapped.Add(1) // a concurrent fault won
+		c.ctr.faultsAlreadyMapped.Add(1) // a concurrent fault won
 	}
 	return nil
 }

@@ -12,56 +12,72 @@ import (
 	"bonsai/internal/stats"
 )
 
-// statsCounters holds the address space's atomic counters and its
-// always-on hot-path latency histograms.
+// statsCounters holds the address space's shared atomic counters and
+// its mapping-operation latency histogram. The fault path's counters
+// live in cpuCounters instead, one shard per CPU id.
+//
+// Timing audit: mapHist, the range manager's wait histogram and the
+// reclaim scan histogram stay fully timed — every operation reads the
+// clock. They time µs-scale mapping operations, contended waits and
+// scans, where one clock read is at most a few percent. Only the
+// fault, a few hundred ns end to end, samples its timing (see
+// FaultSampleEvery).
 type statsCounters struct {
-	// faultHist spans the whole Fault call — fast path, slow retries,
-	// reclaim ladder and all; mapHist spans Mmap/Munmap/Mprotect/
-	// Madvise calls end to end. Both are lock-free and always on.
-	faultHist stats.LatencyHist
-	mapHist   stats.LatencyHist
+	// mapHist spans Mmap/Munmap/Mprotect/Madvise calls end to end.
+	mapHist stats.LatencyHist
 
-	faults              atomic.Uint64
-	faultsAlreadyMapped atomic.Uint64
-	pagesMapped         atomic.Uint64
-	pagesUnmapped       atomic.Uint64
-	mmaps               atomic.Uint64
-	munmaps             atomic.Uint64
-	mprotects           atomic.Uint64
-	madvises            atomic.Uint64
-	merges              atomic.Uint64
-	splits              atomic.Uint64
-	stackGrowths        atomic.Uint64
-	retriesMiss         atomic.Uint64
-	retriesFillRace     atomic.Uint64
-	retriesFile         atomic.Uint64
-	retriesCow          atomic.Uint64
-	forks               atomic.Uint64
-	cowBreaks           atomic.Uint64
-	cowReowned          atomic.Uint64
-	cowCopies           atomic.Uint64
-	cacheHits           atomic.Uint64
-	cacheMisses         atomic.Uint64
-	evictUnmaps         atomic.Uint64
-	reclaimRetries      atomic.Uint64
+	pagesUnmapped  atomic.Uint64
+	mmaps          atomic.Uint64
+	munmaps        atomic.Uint64
+	mprotects      atomic.Uint64
+	madvises       atomic.Uint64
+	merges         atomic.Uint64
+	splits         atomic.Uint64
+	stackGrowths   atomic.Uint64
+	forks          atomic.Uint64
+	cowReowned     atomic.Uint64
+	cowCopies      atomic.Uint64
+	cacheHits      atomic.Uint64
+	cacheMisses    atomic.Uint64
+	evictUnmaps    atomic.Uint64
+	reclaimRetries atomic.Uint64
 
-	// Transparent-huge-page counters for the paths the VM layer drives
-	// (splits and zaps are counted by the page-table tree itself — a
-	// partial munmap demotes deep inside the unmap scan).
-	thpHugeFaults    atomic.Uint64 // faults satisfied by installing a huge entry
-	thpFallbacks     atomic.Uint64 // huge-eligible faults that fell back to base pages
+	// Transparent-huge-page counters for the collapse scanner (splits
+	// and zaps are counted by the page-table tree itself — a partial
+	// munmap demotes deep inside the unmap scan).
 	thpCollapses     atomic.Uint64 // base-page chunks promoted to huge entries
 	thpCollapseFails atomic.Uint64 // collapse attempts aborted (ineligible or no run)
 }
 
-func (s *statsCounters) retry(r retryReason) {
+// cpuCounters is one CPU id's shard of the fault-path counters. Every
+// fault writes only its own CPU's shard, so faulting CPUs share no
+// counter cache line (§4); readers sum the shards. The fields stay
+// atomic because two CPU contexts may be created for one id.
+type cpuCounters struct {
+	// faultHist spans the whole Fault call — fast path, slow retries,
+	// reclaim ladder and all. Its Count is the exact fault count; its
+	// samples are the timed faults (see FaultSampleEvery).
+	faultHist stats.LatencyHist
+
+	faultsAlreadyMapped atomic.Uint64
+	pagesMapped         atomic.Uint64
+	cowBreaks           atomic.Uint64
+	retriesMiss         atomic.Uint64
+	retriesFillRace     atomic.Uint64
+	retriesCow          atomic.Uint64
+	thpHugeFaults       atomic.Uint64 // faults satisfied by installing a huge entry
+	thpFallbacks        atomic.Uint64 // huge-eligible faults that fell back to base pages
+
+	// The pad keeps the next shard's words off this shard's last line.
+	_ [64]byte
+}
+
+func (s *cpuCounters) retry(r retryReason) {
 	switch r {
 	case retryMiss:
 		s.retriesMiss.Add(1)
 	case retryFillRace:
 		s.retriesFillRace.Add(1)
-	case retryFile:
-		s.retriesFile.Add(1)
 	case retryCow:
 		s.retriesCow.Add(1)
 	}
@@ -85,7 +101,6 @@ type Stats struct {
 	StackGrowths        uint64
 	RetriesMiss         uint64 // slow retries: lookup miss / split race
 	RetriesFillRace     uint64 // slow retries: §5.2 fill race double check
-	RetriesFile         uint64 // slow retries: file-backed hard case (§6; zero since the page cache made file faults a fast path)
 	RetriesCow          uint64 // slow retries: copy-on-write hard case (§6)
 	Forks               uint64
 	CowBreaks           uint64 // write faults that broke copy-on-write
@@ -137,7 +152,7 @@ type Stats struct {
 
 // Retries returns the total slow-path retries.
 func (s Stats) Retries() uint64 {
-	return s.RetriesMiss + s.RetriesFillRace + s.RetriesFile + s.RetriesCow
+	return s.RetriesMiss + s.RetriesFillRace + s.RetriesCow
 }
 
 // PagesPerFlush returns the mean shootdown batch size — how many
@@ -155,7 +170,7 @@ func (as *AddressSpace) Stats() Stats {
 	pc := as.PageCacheStats()
 	tl := as.fam.ms.tlb.Stats()
 	hugeInstalls, hugeSplits, hugeZaps := as.tables.HugeStats()
-	return Stats{
+	st := Stats{
 		TLBFlushes:      tl.Flushes,
 		TLBPagesFlushed: tl.PagesFlushed,
 
@@ -177,36 +192,39 @@ func (as *AddressSpace) Stats() Stats {
 		EvictUnmaps:    as.stats.evictUnmaps.Load(),
 		ReclaimRetries: as.stats.reclaimRetries.Load(),
 
-		THPHugeFaults:    as.stats.thpHugeFaults.Load(),
-		THPFallbacks:     as.stats.thpFallbacks.Load(),
 		THPCollapses:     as.stats.thpCollapses.Load(),
 		THPCollapseFails: as.stats.thpCollapseFails.Load(),
 		THPSplits:        hugeSplits,
 		THPZaps:          hugeZaps,
 		AnonHugePages:    int64(hugeInstalls) - int64(hugeSplits) - int64(hugeZaps),
 
-		Faults:              as.stats.faults.Load(),
-		FaultsAlreadyMapped: as.stats.faultsAlreadyMapped.Load(),
-		PagesMapped:         as.stats.pagesMapped.Load(),
-		PagesUnmapped:       as.stats.pagesUnmapped.Load(),
-		Mmaps:               as.stats.mmaps.Load(),
-		Munmaps:             as.stats.munmaps.Load(),
-		Mprotects:           as.stats.mprotects.Load(),
-		Madvises:            as.stats.madvises.Load(),
-		Merges:              as.stats.merges.Load(),
-		Splits:              as.stats.splits.Load(),
-		StackGrowths:        as.stats.stackGrowths.Load(),
-		RetriesMiss:         as.stats.retriesMiss.Load(),
-		RetriesFillRace:     as.stats.retriesFillRace.Load(),
-		RetriesFile:         as.stats.retriesFile.Load(),
-		RetriesCow:          as.stats.retriesCow.Load(),
-		Forks:               as.stats.forks.Load(),
-		CowBreaks:           as.stats.cowBreaks.Load(),
-		CowReowned:          as.stats.cowReowned.Load(),
-		CowCopies:           as.stats.cowCopies.Load(),
-		MmapCacheHits:       as.stats.cacheHits.Load(),
-		MmapCacheMisses:     as.stats.cacheMisses.Load(),
+		PagesUnmapped:   as.stats.pagesUnmapped.Load(),
+		Mmaps:           as.stats.mmaps.Load(),
+		Munmaps:         as.stats.munmaps.Load(),
+		Mprotects:       as.stats.mprotects.Load(),
+		Madvises:        as.stats.madvises.Load(),
+		Merges:          as.stats.merges.Load(),
+		Splits:          as.stats.splits.Load(),
+		StackGrowths:    as.stats.stackGrowths.Load(),
+		Forks:           as.stats.forks.Load(),
+		CowReowned:      as.stats.cowReowned.Load(),
+		CowCopies:       as.stats.cowCopies.Load(),
+		MmapCacheHits:   as.stats.cacheHits.Load(),
+		MmapCacheMisses: as.stats.cacheMisses.Load(),
 	}
+	for i := range as.cpuCtr {
+		c := &as.cpuCtr[i]
+		st.Faults += c.faultHist.Count()
+		st.FaultsAlreadyMapped += c.faultsAlreadyMapped.Load()
+		st.PagesMapped += c.pagesMapped.Load()
+		st.CowBreaks += c.cowBreaks.Load()
+		st.RetriesMiss += c.retriesMiss.Load()
+		st.RetriesFillRace += c.retriesFillRace.Load()
+		st.RetriesCow += c.retriesCow.Load()
+		st.THPHugeFaults += c.thpHugeFaults.Load()
+		st.THPFallbacks += c.thpFallbacks.Load()
+	}
+	return st
 }
 
 // SemStats exposes the semaphore counters for contention analysis: how
@@ -245,6 +263,8 @@ func (as *AddressSpace) ReclaimStats() reclaim.Stats {
 // throughput counters above cannot express.
 type LatencySnapshot struct {
 	// Fault spans CPU.Fault end to end (fast path through OOM ladder).
+	// Its Count is exact; its percentiles come from the sampled faults
+	// (1 in FaultSampleEvery, plus every slow-path fault).
 	Fault stats.LatencyStats `json:"fault"`
 	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
 	MapOp stats.LatencyStats `json:"map_op"`
@@ -258,9 +278,15 @@ type LatencySnapshot struct {
 	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
 }
 
-// FaultHist exposes the fault-latency histogram (e.g. for merging into
-// a machine-level rollup).
-func (as *AddressSpace) FaultHist() *stats.LatencyHist { return &as.stats.faultHist }
+// FaultHist returns the fault-latency histogram summed over the per-CPU
+// shards: a fresh copy, for merging into a machine-level rollup.
+func (as *AddressSpace) FaultHist() *stats.LatencyHist {
+	h := new(stats.LatencyHist)
+	for i := range as.cpuCtr {
+		h.Merge(&as.cpuCtr[i].faultHist)
+	}
+	return h
+}
 
 // MapHist exposes the mapping-operation latency histogram.
 func (as *AddressSpace) MapHist() *stats.LatencyHist { return &as.stats.mapHist }
@@ -278,7 +304,7 @@ func (as *AddressSpace) RangeWaitHist() *stats.LatencyHist {
 // address space and its machine.
 func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
 	l := LatencySnapshot{
-		Fault: as.stats.faultHist.Stats(),
+		Fault: as.FaultHist().Stats(),
 		MapOp: as.stats.mapHist.Stats(),
 		GP:    as.dom.GPHist().Stats(),
 	}

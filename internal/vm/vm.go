@@ -281,7 +281,8 @@ type AddressSpace struct {
 
 	mapCPU int // allocator magazine reserved for mapping operations
 
-	stats statsCounters
+	stats  statsCounters
+	cpuCtr []cpuCounters // fault-path counter shards, one per CPU id
 }
 
 // family is one tenant: the state shared between an address space and
@@ -340,10 +341,19 @@ type CPU struct {
 	id int
 	rd *rcu.Reader
 
+	// ctr is this CPU id's counter shard.
+	ctr *cpuCounters
+
 	// pathFlags accumulates trace.Fault* path bits across one Fault
 	// call (single-goroutine ownership makes a plain field safe); the
 	// exit event reports them.
 	pathFlags uint64
+	// seq numbers this context's faults; its hash picks the timed
+	// sample (see faultSampled).
+	seq uint64
+	// start is when the current fault's clock started, zero while the
+	// fault is untimed.
+	start time.Time
 }
 
 // normalized fills the Config's defaults.
@@ -451,7 +461,12 @@ func (as *AddressSpace) SetOOMKiller(kill func(victim *AddressSpace) bool) {
 // LivePages returns the number of pages currently mapped in this
 // address space — the OOM victim-selection badness score.
 func (as *AddressSpace) LivePages() uint64 {
-	return as.stats.pagesMapped.Load() - as.stats.pagesUnmapped.Load()
+	unmapped := as.stats.pagesUnmapped.Load()
+	var mapped uint64
+	for i := range as.cpuCtr {
+		mapped += as.cpuCtr[i].pagesMapped.Load()
+	}
+	return mapped - unmapped
 }
 
 // largestVictim picks the live member with the most mapped pages,
@@ -535,6 +550,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		member: member,
 		alloc:  fam.ms.alloc,
 		dom:    fam.ms.dom,
+		cpuCtr: make([]cpuCounters, cfg.CPUs),
 	}
 	as.mapCPU = as.physCPU(cfg.CPUs)
 	as.tables, err = pagetable.New(as.alloc, as.dom, as.mapCPU, pagetable.Config{
@@ -599,7 +615,10 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 	if id < 0 || id >= as.cfg.CPUs {
 		panic(fmt.Sprintf("vm: CPU id %d out of range [0,%d)", id, as.cfg.CPUs))
 	}
-	return &CPU{as: as, id: as.physCPU(id), rd: as.dom.Register()}
+	ctr := &as.cpuCtr[id]
+	// The sequence resumes at the shard's fault count, so short-lived
+	// contexts for one id do not all sample the same fault positions.
+	return &CPU{as: as, id: as.physCPU(id), rd: as.dom.Register(), ctr: ctr, seq: ctr.faultHist.Count()}
 }
 
 // RangeLocked reports whether mapping operations use the range-lock
