@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"bonsai/internal/avl"
 	"bonsai/internal/coherence"
 	"bonsai/internal/contention"
 	"bonsai/internal/core"
@@ -27,7 +26,6 @@ import (
 	"bonsai/internal/rbtree"
 	"bonsai/internal/rcu"
 	"bonsai/internal/sim"
-	"bonsai/internal/skiplist"
 	"bonsai/internal/torture"
 	"bonsai/internal/trace"
 	"bonsai/internal/vm"
@@ -74,36 +72,6 @@ func BenchmarkRBInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Insert(keys[i], i)
-	}
-}
-
-func BenchmarkAVLInsert(b *testing.B) {
-	keys := benchKeys(b.N)
-	t := avl.New[int]()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Insert(keys[i], i)
-	}
-}
-
-func BenchmarkSkiplistInsert(b *testing.B) {
-	keys := benchKeys(b.N)
-	l := skiplist.New[int]()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Insert(keys[i], i)
-	}
-}
-
-func BenchmarkSkiplistLookup(b *testing.B) {
-	keys := benchKeys(treeN)
-	l := skiplist.New[int]()
-	for i, k := range keys {
-		l.Insert(k, i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Lookup(keys[i%treeN])
 	}
 }
 

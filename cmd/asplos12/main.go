@@ -5,6 +5,7 @@
 //	asplos12 -experiment fig17          # one figure
 //	asplos12 -experiment table1
 //	asplos12 -experiment rotations      # §3.3 tree statistics
+//	asplos12 -experiment timeline       # Figure 2 vs Figure 12 on this host
 //	asplos12 -quick                     # coarser sweeps for a fast pass
 //	asplos12 -csv                       # machine-readable series output
 //
@@ -22,12 +23,13 @@ import (
 	"bonsai/internal/core"
 	"bonsai/internal/sim"
 	"bonsai/internal/stats"
+	"bonsai/internal/vm"
 )
 
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"which result to regenerate: fig13|fig14|fig15|fig16|fig17|fig18|table1|rotations|workarounds|ablations|all")
+			"which result to regenerate: fig13|fig14|fig15|fig16|fig17|fig18|table1|rotations|workarounds|ablations|timeline|all")
 		quick = flag.Bool("quick", false, "coarser core sweeps for a fast run")
 		csv   = flag.Bool("csv", false, "emit CSV instead of tables and charts")
 		chart = flag.Bool("chart", true, "render ASCII charts for figures")
@@ -106,6 +108,12 @@ func main() {
 		mmapCacheAblation()
 		pteLockAblation()
 		statsLineAblation(m, p, cycles)
+	}
+	if run("timeline") {
+		ran = true
+		for _, d := range vm.Designs {
+			renderTimeline(d)
+		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)

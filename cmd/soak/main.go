@@ -30,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"bonsai/internal/introspect"
@@ -52,16 +50,12 @@ func main() {
 	p999Gate := flag.Duration("p999-gate", 0, "fail the run if fault p999 exceeds this (0 = off)")
 	vmstat := flag.Duration("vmstat", 0, "print a vmstat-style machine delta line every interval (0 = off)")
 	httpAddr := flag.String("http", "", "serve the live introspection plane on this address (empty = off)")
-	traceOn := flag.Bool("trace", false, "arm the flight-recorder event tracer for the run")
-	traceDump := flag.String("trace-dump", "", "directory for ring dumps on gate failure (implies -trace)")
-	traceAlways := flag.Bool("trace-dump-always", false, "dump the rings even on a passing run")
-	traceRings := flag.Int("trace-rings", 16, "per-CPU trace rings (+1 aux)")
-	traceRingSize := flag.Int("trace-ring-size", trace.DefaultRingSize, "events kept per ring (rounded up to a power of two)")
+	traceFlags := trace.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	d, err := parseDesign(*design)
+	d, err := vm.ParseDesign(*design)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(2)
 	}
 	cfg := machine.SoakConfig{
@@ -94,12 +88,7 @@ func main() {
 		}
 	}
 
-	if *traceDump != "" {
-		*traceOn = true
-	}
-	if *traceOn {
-		trace.Arm(*traceRings, *traceRingSize)
-	}
+	traceFlags.Arm()
 
 	rep := machine.Soak(cfg)
 
@@ -110,13 +99,10 @@ func main() {
 		failed = true
 	}
 
-	if t := trace.Disarm(); t != nil && *traceDump != "" && (failed || *traceAlways) {
-		path := filepath.Join(*traceDump, fmt.Sprintf("soak-seed%d.vmtrace", rep.Seed))
-		if err := t.DumpFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: trace dump: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "soak: trace dumped to %s (inspect with go run ./cmd/vmtrace)\n", path)
-		}
+	if path, err := traceFlags.Finish("soak", rep.Seed, failed); err != nil {
+		fmt.Fprintf(os.Stderr, "soak: trace dump: %v\n", err)
+	} else if path != "" {
+		fmt.Fprintf(os.Stderr, "soak: trace dumped to %s (inspect with go run ./cmd/vmtrace)\n", path)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -161,20 +147,5 @@ func newVmstat(start time.Time) func(machine.Snapshot) {
 			d.GracePeriods,
 			d.OOMKills,
 			time.Duration(sn.Latency.Fault.P99Ns))
-	}
-}
-
-func parseDesign(name string) (vm.Design, error) {
-	switch strings.ToLower(name) {
-	case "rwlock":
-		return vm.RWLock, nil
-	case "faultlock":
-		return vm.FaultLock, nil
-	case "hybrid":
-		return vm.Hybrid, nil
-	case "purercu":
-		return vm.PureRCU, nil
-	default:
-		return 0, fmt.Errorf("soak: unknown design %q", name)
 	}
 }

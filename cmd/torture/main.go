@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -37,11 +36,7 @@ func main() {
 	frames := flag.Uint64("frames", 0, "machine size in frames (0 = torture default)")
 	designs := flag.String("designs", "", "comma-separated subset: rwlock,faultlock,hybrid,purercu (default all)")
 	verbose := flag.Bool("v", false, "print per-design progress")
-	traceOn := flag.Bool("trace", false, "arm the flight-recorder event tracer for the run")
-	traceDump := flag.String("trace-dump", "", "directory for ring dumps on a failing run (implies -trace)")
-	traceAlways := flag.Bool("trace-dump-always", false, "dump the rings even on a passing run")
-	traceRings := flag.Int("trace-rings", 16, "per-CPU trace rings (+1 aux)")
-	traceRingSize := flag.Int("trace-ring-size", trace.DefaultRingSize, "events kept per ring (rounded up to a power of two)")
+	traceFlags := trace.RegisterFlags(flag.CommandLine)
 	httpAddr := flag.String("http", "", "serve the live introspection plane on this address (empty = off)")
 	flag.Parse()
 
@@ -54,7 +49,7 @@ func main() {
 	}
 	if *designs != "" {
 		for _, name := range strings.Split(*designs, ",") {
-			d, err := parseDesign(name)
+			d, err := vm.ParseDesign(name)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -82,12 +77,7 @@ func main() {
 		}
 	}
 
-	if *traceDump != "" {
-		*traceOn = true
-	}
-	if *traceOn {
-		trace.Arm(*traceRings, *traceRingSize)
-	}
+	traceFlags.Arm()
 
 	rep := torture.Run(cfg)
 
@@ -116,32 +106,14 @@ func main() {
 		ok = false
 		fmt.Printf("FAIL: %d armed failpoint(s) never fired — coverage regression, not a passing run\n", silent)
 	}
-	if t := trace.Disarm(); t != nil && *traceDump != "" && (!ok || *traceAlways) {
-		path := filepath.Join(*traceDump, fmt.Sprintf("torture-seed%d.vmtrace", rep.Seed))
-		if err := t.DumpFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "torture: trace dump: %v\n", err)
-		} else {
-			fmt.Printf("trace dumped to %s (inspect with go run ./cmd/vmtrace)\n", path)
-		}
+	if path, err := traceFlags.Finish("torture", rep.Seed, !ok); err != nil {
+		fmt.Fprintf(os.Stderr, "torture: trace dump: %v\n", err)
+	} else if path != "" {
+		fmt.Printf("trace dumped to %s (inspect with go run ./cmd/vmtrace)\n", path)
 	}
 	if !ok {
 		fmt.Printf("replay: go run ./cmd/torture -seed %d -duration %v -faults=%v\n", rep.Seed, *duration, *faults)
 		os.Exit(1)
 	}
 	fmt.Println("PASS")
-}
-
-func parseDesign(name string) (vm.Design, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "rwlock":
-		return vm.RWLock, nil
-	case "faultlock":
-		return vm.FaultLock, nil
-	case "hybrid":
-		return vm.Hybrid, nil
-	case "purercu":
-		return vm.PureRCU, nil
-	default:
-		return 0, fmt.Errorf("unknown design %q (want rwlock, faultlock, hybrid, or purercu)", name)
-	}
 }

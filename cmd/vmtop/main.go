@@ -1,6 +1,6 @@
 // Command vmtop is the live terminal view of a running machine: point
 // it at the introspection server a driver exposes with -http (cmd/soak,
-// cmd/torture, cmd/vmstress) and it refreshes a top-style screen —
+// cmd/torture) and it refreshes a top-style screen —
 // machine totals, per-tenant RSS against limit with fault and eviction
 // rates, fault p99, and the top contended lock sites — from the same
 // snapshot-delta engine the soak vmstat line uses.

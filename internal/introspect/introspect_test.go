@@ -350,24 +350,32 @@ func TestRangeContentionAttribution(t *testing.T) {
 	}
 	defer fail.Disable("tlb.flush-delay")
 
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = as.MadviseDontNeed(base, 64*vm.PageSize)
+	// On a busy host the four goroutines may never overlap within one
+	// storm, so the storm repeats until a range-lock wait is attributed
+	// or a generous deadline passes.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					_ = as.MadviseDontNeed(base, 64*vm.PageSize)
+				}
+			}()
+		}
+		wg.Wait()
+		sites := contention.Snapshot()
+		for _, s := range sites {
+			if s.Site == "range" {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	sites := contention.Snapshot()
-	for _, s := range sites {
-		if s.Site == "range" {
-			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no range-lock contention attributed after overlapping madvise storms: %+v", sites)
 		}
 	}
-	t.Fatalf("no range-lock contention attributed after overlapping madvise storm: %+v", sites)
 }
 
 // TestRCUView sanity-checks /proc/rcu renders the shard backlog table.

@@ -38,7 +38,7 @@ type TenantSpaces struct {
 
 // Source is the world an introspection server reports on. Machine
 // adapts machine.Machine; SpaceSet adapts drivers that build address
-// spaces directly with vm.New (vmstress, torture).
+// spaces directly with vm.New (cmd/torture).
 type Source interface {
 	// Label names the source on the index page and in the instance
 	// metric.

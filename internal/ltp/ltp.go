@@ -3,7 +3,7 @@
 // implementation (§6: "The implementation passes the Linux Test
 // Project, as well as our own stress tests"). Every case is expressed
 // against the public vm API and must pass identically under all four
-// concurrency designs; cmd/vmstress and the test suite both run it.
+// concurrency designs; `go test ./internal/ltp` runs it.
 package ltp
 
 import (

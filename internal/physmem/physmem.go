@@ -332,12 +332,15 @@ func (a *Allocator) Allocated(f Frame) bool {
 	return a.state[word].Load()&(1<<bit) != 0
 }
 
+// allocDrainRounds bounds Alloc's drain-and-take retries.
+const allocDrainRounds = 4
+
 // Alloc allocates a frame using cpu's magazine. If Backing is enabled
 // the frame's buffer is zeroed before return. When both the magazine
 // and the buddy lists are empty, Alloc steals frames stranded in other
-// CPUs' magazines (DrainMagazines) as a last resort before reporting
-// ErrOutOfMemory, so the error means the pool is genuinely exhausted —
-// the condition the VM layer answers with direct reclaim.
+// CPUs' magazines and takes one of them as a last resort before
+// reporting ErrOutOfMemory, so the error means the pool is genuinely
+// exhausted — the condition the VM layer answers with direct reclaim.
 func (a *Allocator) Alloc(cpu int) (Frame, error) {
 	if failAlloc.Fire() {
 		a.allocFailures.Add(1)
@@ -351,23 +354,21 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 		a.limitFailures.Add(1)
 		return NoFrame, ErrOverLimit
 	}
-	m := &a.mags[cpu%len(a.mags)]
-	f, err := a.popMagazine(m)
+	f, err := a.popMagazine(&a.mags[cpu%len(a.mags)])
+	// The drain can race concurrent magazine refills, which take half a
+	// magazine each, so while frames remain free it is retried a few
+	// bounded rounds rather than reporting a spurious exhaustion.
+	for round := 0; err != nil && round < allocDrainRounds && (round == 0 || a.FreeFrames() > 0); round++ {
+		if _, got := a.drain(true); got != NoFrame {
+			f, err = got, nil
+		}
+	}
 	if err != nil {
-		if a.DrainMagazines() == 0 {
-			a.allocFailures.Add(1)
-			if ac != nil {
-				ac.unchargeN(1)
-			}
-			return NoFrame, err
+		a.allocFailures.Add(1)
+		if ac != nil {
+			ac.unchargeN(1)
 		}
-		if f, err = a.popMagazine(m); err != nil {
-			a.allocFailures.Add(1)
-			if ac != nil {
-				ac.unchargeN(1)
-			}
-			return NoFrame, err
-		}
+		return NoFrame, err
 	}
 	if ac != nil {
 		a.owner[f].Store(ac)
@@ -529,30 +530,47 @@ func (a *Allocator) refillLocked(m *magazine) error {
 // AllocRun calls it so magazine-cached frames can never hold a
 // coalesceable run hostage.
 func (a *Allocator) DrainMagazines() int {
-	if failDrain.Fire() {
-		return 0
-	}
+	n, _ := a.drain(false)
+	return n
+}
+
+// drain steals every magazine-cached frame into the buddy lists and
+// returns how many it stole. With take set it also takes one order-0
+// frame from the buddy lists under the same lock acquisition, so
+// concurrent refills cannot claim every stolen frame first; the frame
+// is NoFrame when the buddy lists are empty even after the drain.
+func (a *Allocator) drain(take bool) (int, Frame) {
 	var stolen []Frame
-	for i := range a.mags {
-		m := &a.mags[i]
-		m.mu.Lock()
-		if len(m.frames) > 0 {
-			stolen = append(stolen, m.frames...)
-			m.frames = m.frames[:0]
+	if !failDrain.Fire() {
+		for i := range a.mags {
+			m := &a.mags[i]
+			m.mu.Lock()
+			if len(m.frames) > 0 {
+				stolen = append(stolen, m.frames...)
+				m.frames = m.frames[:0]
+			}
+			m.mu.Unlock()
 		}
-		m.mu.Unlock()
 	}
-	if len(stolen) == 0 {
-		return 0
+	if len(stolen) == 0 && !take {
+		return 0, NoFrame
 	}
+	f := NoFrame
 	a.mu.Lock()
-	for _, f := range stolen {
-		a.freeBlockLocked(f, 0)
+	for _, sf := range stolen {
+		a.freeBlockLocked(sf, 0)
+	}
+	if take {
+		if b, ok := a.allocBlockLocked(0); ok {
+			f = b
+		}
 	}
 	a.mu.Unlock()
-	a.drains.Add(1)
-	a.drained.Add(uint64(len(stolen)))
-	return len(stolen)
+	if len(stolen) > 0 {
+		a.drains.Add(1)
+		a.drained.Add(uint64(len(stolen)))
+	}
+	return len(stolen), f
 }
 
 // Ref takes an additional reference on an allocated frame (fork's

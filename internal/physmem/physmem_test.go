@@ -285,3 +285,66 @@ func TestGenAdvancesPerAllocation(t *testing.T) {
 		t.Fatalf("Gen = %d after recycle, want %d", a.Gen(f2), g1+1)
 	}
 }
+
+// TestAllocFindsStrandedFrames is the regression test for a spurious
+// ErrOutOfMemory: with the buddy lists empty and most free frames
+// cached in per-CPU magazines, Alloc's drain could lose the stolen
+// frames to concurrent magazine refills and report exhaustion while
+// half the pool was free. Every allocator here keeps its live set
+// within its share of half the pool, so no Alloc may fail.
+func TestAllocFindsStrandedFrames(t *testing.T) {
+	const (
+		frames  = 512
+		cpus    = 64
+		workers = 8
+		live    = frames / 2 / workers
+		rounds  = 2000
+	)
+	a := New(Config{Frames: frames, CPUs: cpus, MagazineSize: 64})
+	// Empty the buddy lists into the magazines: each Alloc refills its
+	// CPU's magazine with half a magazine (32 frames), and the Free puts
+	// the frame back in the same magazine.
+	for cpu := 0; cpu < frames/32; cpu++ {
+		f, err := a.Alloc(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Free(cpu, f)
+	}
+	for o := 0; o <= MaxOrder; o++ {
+		if n := a.FreeRuns(o); n != 0 {
+			t.Fatalf("%d order-%d blocks left on the buddy lists", n, o)
+		}
+	}
+	var wg sync.WaitGroup
+	var failures sync.Map
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(cpu int) {
+			defer wg.Done()
+			held := make([]Frame, 0, live)
+			for r := 0; r < rounds; r++ {
+				for len(held) < live {
+					f, err := a.Alloc(cpu)
+					if err != nil {
+						failures.Store(cpu, err)
+						break
+					}
+					held = append(held, f)
+				}
+				for _, f := range held {
+					a.Free(cpu, f)
+				}
+				held = held[:0]
+			}
+		}(cpus - 1 - w)
+	}
+	wg.Wait()
+	failures.Range(func(cpu, err any) bool {
+		t.Errorf("cpu %v: Alloc failed with the pool at most half in use: %v", cpu, err)
+		return true
+	})
+	if a.InUse() != 0 {
+		t.Fatalf("InUse = %d after every worker freed its frames", a.InUse())
+	}
+}

@@ -442,7 +442,7 @@ func (as *AddressSpace) growStackLocked(page uint64) (*vma.VMA, error) {
 	if v == nil || v.Flags()&vma.Stack == 0 || v.Deleted() {
 		return nil, ErrSegv
 	}
-	if v.Start()-page > as.cfg.MaxStackGrowth {
+	if v.Start()-page > DefaultMaxStackGrowth {
 		return nil, ErrSegv
 	}
 	// Keep one guard page between the stack and the mapping below.

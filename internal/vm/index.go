@@ -47,11 +47,10 @@ type regionIndex interface {
 	countRead() int
 }
 
-func newRegionIndex(d Design, weight int, treeSem *locks.RWSem, dom *rcu.Domain, rangeLocked bool) regionIndex {
+func newRegionIndex(d Design, treeSem *locks.RWSem, dom *rcu.Domain, rangeLocked bool) regionIndex {
 	switch d {
 	case PureRCU:
 		return &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{
-			Weight:        weight,
 			UpdateInPlace: true,
 			Domain:        dom,
 		})}

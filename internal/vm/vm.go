@@ -22,6 +22,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +65,23 @@ func (d Design) String() string {
 	default:
 		return fmt.Sprintf("Design(%d)", int(d))
 	}
+}
+
+// ParseDesign maps a command-line design name — rwlock, faultlock,
+// hybrid or purercu, in any case and with surrounding spaces ignored —
+// to its Design.
+func ParseDesign(name string) (Design, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "rwlock":
+		return RWLock, nil
+	case "faultlock":
+		return FaultLock, nil
+	case "hybrid":
+		return Hybrid, nil
+	case "purercu":
+		return PureRCU, nil
+	}
+	return 0, fmt.Errorf("unknown design %q (want rwlock, faultlock, hybrid, or purercu)", name)
 }
 
 // UsesRCU reports whether the design's fault path relies on RCU.
@@ -176,9 +194,6 @@ type Config struct {
 	// Backing gives pages real data buffers (required by ReadBytes and
 	// WriteBytes).
 	Backing bool
-	// Weight is the BONSAI weight parameter (PureRCU only). Zero means
-	// the paper's 4.
-	Weight int
 	// MmapCache controls the mmap cache (§6).
 	MmapCache MmapCacheMode
 	// SinglePTELock shares one PTE lock across all page tables
@@ -186,9 +201,6 @@ type Config struct {
 	SinglePTELock bool
 	// RCUBatch is the rcu.Domain batch size. Zero means the default.
 	RCUBatch int
-	// MaxStackGrowth bounds how far below a Stack VMA a fault may grow
-	// it, in bytes. Zero means DefaultMaxStackGrowth.
-	MaxStackGrowth uint64
 	// MaxFamily is the maximum number of address spaces (the original
 	// plus forked children) that may be alive at once; they share one
 	// physical allocator, whose per-CPU magazines are partitioned among
@@ -360,9 +372,6 @@ type CPU struct {
 func (cfg Config) normalized() Config {
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 1
-	}
-	if cfg.MaxStackGrowth == 0 {
-		cfg.MaxStackGrowth = DefaultMaxStackGrowth
 	}
 	if cfg.MaxFamily <= 0 {
 		cfg.MaxFamily = DefaultMaxFamily
@@ -564,7 +573,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	if cfg.Design.UsesRCU() && cfg.RangeLocks != RangeLocksOff {
 		as.rl = new(ranges.Manager)
 	}
-	as.idx = newRegionIndex(cfg.Design, cfg.Weight, &as.treeSem, as.dom, as.rl != nil)
+	as.idx = newRegionIndex(cfg.Design, &as.treeSem, as.dom, as.rl != nil)
 
 	switch cfg.MmapCache {
 	case MmapCacheOn:

@@ -483,3 +483,32 @@ func TestHintPlacement(t *testing.T) {
 		}
 	})
 }
+
+// TestParseDesign pins the command-line design names the drivers
+// accept: each of the four in any case with surrounding spaces, every
+// entry of Designs reachable, and anything else rejected.
+func TestParseDesign(t *testing.T) {
+	seen := map[Design]bool{}
+	for name, want := range map[string]Design{
+		"rwlock":      RWLock,
+		"FaultLock":   FaultLock,
+		" HYBRID\t":   Hybrid,
+		"  purercu  ": PureRCU,
+	} {
+		got, err := ParseDesign(name)
+		if err != nil || got != want {
+			t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		seen[got] = true
+	}
+	for _, d := range Designs {
+		if !seen[d] {
+			t.Errorf("no name parses to %v", d)
+		}
+	}
+	for _, bad := range []string{"", "rcu", "pure rcu", "rwlock,hybrid", "Pure RCU"} {
+		if _, err := ParseDesign(bad); err == nil {
+			t.Errorf("ParseDesign(%q) accepted an unknown design", bad)
+		}
+	}
+}

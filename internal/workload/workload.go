@@ -3,7 +3,7 @@
 // its microbenchmark (§7.3). Unlike internal/sim — which reproduces the
 // 80-core *performance* results on a model — these generators execute
 // the actual code paths, so they validate the designs' correctness and
-// provide real-machine benchmarks for bench_test.go and cmd/vmstress.
+// provide the real-machine benchmarks in bench_test.go.
 package workload
 
 import (
